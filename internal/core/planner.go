@@ -89,8 +89,9 @@ type Planner struct {
 //     no trust is required at all.
 //  2. Otherwise compute each party's trust in the other, derive exposure
 //     caps via the risk policies, and search for a schedule that respects
-//     both caps (keeping the stake-widened safety band as an additional
-//     constraint when it helps, per the combined band).
+//     both caps. Only when step 1 was skipped (SkipSafe) is the combined
+//     band (caps plus the stake-widened safety band) tried first: after a
+//     failed step 1 it is provably infeasible too (see scheduleTrustAware).
 //
 // It returns ErrNoAgreement (wrapped, with the tightest caps attempted) when
 // neither succeeds.
@@ -140,17 +141,28 @@ func (pl Planner) PlanExchange(supplier, consumer Participant, terms exchange.Te
 	}, nil
 }
 
-// scheduleTrustAware prefers the combined band (exposure caps plus the
-// stake-widened safety band — strictly less residual temptation) and falls
-// back to the paper's pure exposure band when the combination is
-// unschedulable.
+// scheduleTrustAware schedules under the exposure caps. Under SkipSafe it
+// first tries the combined band (caps plus the stake-widened safety band —
+// strictly less residual temptation) and falls back to the paper's pure
+// exposure band when the combination is unschedulable.
+//
+// Without SkipSafe the combined band is never tried, by containment: its
+// edges are [max(lo_safe, lo_exp), min(hi_safe, hi_exp)], so a delivery order
+// feasible under it passes every step and boundary check of the safety band
+// alone, under either payment policy and any quantum. PlanExchange reaches
+// this point only after ScheduleSafe returned ErrNoSafeSequence, which is a
+// proof (an optimal greedy order or the exhaustive search failed; budget
+// exhaustion is a different error), so the combined search would fail too
+// and its fallback is this same pure-exposure call.
 func (pl Planner) scheduleTrustAware(terms exchange.Terms, stakes exchange.Stakes, caps exchange.ExposureCaps) (exchange.Plan, error) {
-	combined, err := exchange.Schedule(terms, exchange.CombinedBands(stakes, caps), pl.Options)
-	if err == nil {
-		return combined, nil
-	}
-	if !errors.Is(err, exchange.ErrNoFeasibleSequence) && !errors.Is(err, exchange.ErrBudgetExhausted) {
-		return exchange.Plan{}, err
+	if pl.SkipSafe {
+		combined, err := exchange.Schedule(terms, exchange.CombinedBands(stakes, caps), pl.Options)
+		if err == nil {
+			return combined, nil
+		}
+		if !errors.Is(err, exchange.ErrNoFeasibleSequence) && !errors.Is(err, exchange.ErrBudgetExhausted) {
+			return exchange.Plan{}, err
+		}
 	}
 	return exchange.ScheduleTrustAware(terms, caps, pl.Options)
 }

@@ -42,12 +42,17 @@ func fuzzMoney(v int64) goods.Money {
 // configurations: it must never panic, and every plan it does return must
 // conserve totals — the payments sum exactly to the agreed price and the
 // deliveries are exactly the bundle, validated step by step against the
-// requested bands by the package's own Validate.
+// requested bands by the package's own Validate. A combined-band plan must
+// also be matched by a plan under each of its two bands alone (containment:
+// the planner skips the combined band once the safe band has failed).
 func FuzzSchedule(f *testing.F) {
 	f.Add(int64(10*goods.Unit), []byte{8, 12, 4, 2, 0, 9}, int64(goods.Unit), int64(0), int64(0), int64(0), byte(1))
 	f.Add(int64(3*goods.Unit), []byte{0, 5, 3, 0}, int64(0), int64(0), int64(2*goods.Unit), int64(goods.Unit), byte(2))
 	f.Add(int64(0), []byte{}, int64(-1), int64(5), int64(5), int64(5), byte(3))
 	f.Add(int64(-7), []byte{255, 255, 1, 1}, int64(goods.Unit), int64(goods.Unit), int64(0), int64(0), byte(7))
+	// The worked example a(4,10), b(6,12) at price 15 with stake δs = 4 and
+	// caps Ls = 20, Lc = 28: the combined band schedules.
+	f.Add(int64(15*goods.Unit), []byte{16, 40, 24, 48}, int64(4*goods.Unit), int64(0), int64(20*goods.Unit), int64(28*goods.Unit), byte(3))
 	f.Fuzz(func(t *testing.T, price int64, items []byte, ds, dc, ls, lc int64, flags byte) {
 		terms, _ := fuzzTerms(price, items)
 		bands := exchange.Bands{
@@ -91,6 +96,16 @@ func FuzzSchedule(f *testing.F) {
 		// And the plan must satisfy the very bands it was scheduled under.
 		if _, err := exchange.Validate(terms, bands, plan.Steps); err != nil {
 			t.Fatalf("returned plan violates its own bands: %v", err)
+		}
+		// The combined band is the intersection of the other two, so each
+		// of them alone admits the combined plan's delivery order.
+		if bands.Safety && bands.Exposure {
+			if _, err := exchange.Schedule(terms, exchange.SafeBands(bands.Stakes), opt); err != nil {
+				t.Fatalf("combined band schedules but the safety band alone does not: %v", err)
+			}
+			if _, err := exchange.Schedule(terms, exchange.TrustAwareBands(bands.Caps), opt); err != nil {
+				t.Fatalf("combined band schedules but the exposure band alone does not: %v", err)
+			}
 		}
 	})
 }

@@ -121,7 +121,7 @@ func paymentsForOrder(ctx bandCtx, price goods.Money, order []goods.Item, opt Op
 	var m, cd, wd goods.Money
 	lo0, hi0 := ctx.rangeAt(0, 0)
 	if m < lo0 || m > hi0 {
-		return seq, fmt.Errorf("%w: initial state outside band [%v, %v]", ErrNoFeasibleSequence, lo0, hi0)
+		return seq, &bandError{failure: failInitial, a: lo0, b: hi0}
 	}
 	if need := len(seq) + 2*len(order) + 1; cap(seq) < need {
 		grown := make(Sequence, len(seq), need)
@@ -132,7 +132,7 @@ func paymentsForOrder(ctx bandCtx, price goods.Money, order []goods.Item, opt Op
 		_, hiHere := ctx.rangeAt(cd, wd)
 		loNext, _ := ctx.rangeAt(cd+it.Cost, wd+it.Worth)
 		if loNext > hiHere {
-			return seq, fmt.Errorf("%w: delivering %q needs m ≥ %v but band tops out at %v", ErrNoFeasibleSequence, it.ID, loNext, hiHere)
+			return seq, &bandError{failure: failStep, item: it.ID, a: loNext, b: hiHere}
 		}
 		target := paymentTarget(m, loNext, hiHere, price, opt)
 		if target > m {
@@ -144,17 +144,52 @@ func paymentsForOrder(ctx bandCtx, price goods.Money, order []goods.Item, opt Op
 		wd += it.Worth
 	}
 	if m > price {
-		return seq, fmt.Errorf("%w: cumulative payments %v exceed price %v", ErrNoFeasibleSequence, m, price)
+		return seq, &bandError{failure: failOverpaid, a: m, b: price}
 	}
 	if m < price {
 		loEnd, hiEnd := ctx.rangeAt(cd, wd)
 		if price < loEnd || price > hiEnd {
-			return seq, fmt.Errorf("%w: final settlement %v outside band [%v, %v]", ErrNoFeasibleSequence, price, loEnd, hiEnd)
+			return seq, &bandError{failure: failSettlement, a: price, b: loEnd, c: hiEnd}
 		}
 		seq = append(seq, Step{Kind: StepPay, Amount: price - m})
 	}
 	return seq, nil
 }
+
+// bandFailure names the check of paymentsForOrder that rejected an order.
+type bandFailure uint8
+
+const (
+	failInitial    bandFailure = iota // the empty state lies outside the band
+	failStep                          // a delivery needs more than the band allows
+	failOverpaid                      // cumulative payments exceed the price
+	failSettlement                    // the final settlement lies outside the band
+)
+
+// bandError is paymentsForOrder's rejection of a delivery order. Schedule
+// discards most of them while it moves on to the next candidate order, so
+// the message is rendered only when asked for. It unwraps to
+// ErrNoFeasibleSequence.
+type bandError struct {
+	failure bandFailure
+	item    string      // failStep: the item whose delivery failed
+	a, b, c goods.Money // the amounts the message reports, in its order
+}
+
+func (e *bandError) Error() string {
+	switch e.failure {
+	case failInitial:
+		return fmt.Sprintf("%v: initial state outside band [%v, %v]", ErrNoFeasibleSequence, e.a, e.b)
+	case failStep:
+		return fmt.Sprintf("%v: delivering %q needs m ≥ %v but band tops out at %v", ErrNoFeasibleSequence, e.item, e.a, e.b)
+	case failOverpaid:
+		return fmt.Sprintf("%v: cumulative payments %v exceed price %v", ErrNoFeasibleSequence, e.a, e.b)
+	default: // failSettlement
+		return fmt.Sprintf("%v: final settlement %v outside band [%v, %v]", ErrNoFeasibleSequence, e.a, e.b, e.c)
+	}
+}
+
+func (e *bandError) Unwrap() error { return ErrNoFeasibleSequence }
 
 // paymentTarget computes the cumulative payment to reach before the next
 // delivery, according to the payment policy and quantum.

@@ -16,12 +16,27 @@ func ScheduleSafe(t Terms, s Stakes, opt Options) (Plan, error) {
 	plan, err := Schedule(t, SafeBands(s), opt)
 	if err != nil {
 		if errors.Is(err, ErrNoFeasibleSequence) {
-			return Plan{}, fmt.Errorf("%w (stakes δs=%v δc=%v)", ErrNoSafeSequence, s.Supplier, s.Consumer)
+			return Plan{}, &noSafeError{stakes: s}
 		}
 		return Plan{}, err
 	}
 	return plan, nil
 }
+
+// noSafeError is ScheduleSafe's proof that no safe sequence exists under
+// the given stakes. The planner only tests it with errors.Is, so the message
+// is rendered only when asked for. It unwraps to ErrNoSafeSequence.
+type noSafeError struct{ stakes Stakes }
+
+func (e *noSafeError) Error() string {
+	return fmt.Sprintf("%v (stakes δs=%v δc=%v)", ErrNoSafeSequence, e.stakes.Supplier, e.stakes.Consumer)
+}
+
+func (e *noSafeError) Unwrap() error { return ErrNoSafeSequence }
+
+// errGreedyProof is Schedule's infeasibility proof by an optimal greedy
+// order; it carries no per-call detail, so one value serves every call.
+var errGreedyProof = fmt.Errorf("%w: proven by optimal greedy order (all item surpluses ≥ 0)", ErrNoFeasibleSequence)
 
 // ScheduleTrustAware finds an exchange sequence that keeps each party's
 // worst-case exposure within its trust-derived cap (paper §3). It returns
@@ -67,7 +82,7 @@ func Schedule(t Terms, b Bands, opt Options) (Plan, error) {
 	if b.Safety != b.Exposure && allNonNegativeSurplus(t.Bundle) {
 		// With a single band family and no negative-surplus items the first
 		// candidate order is provably optimal: failure is a proof.
-		return Plan{}, fmt.Errorf("%w: proven by optimal greedy order (all item surpluses ≥ 0)", ErrNoFeasibleSequence)
+		return Plan{}, errGreedyProof
 	}
 	order, err := searchOrder(t, b, opt.budget())
 	if err != nil {
